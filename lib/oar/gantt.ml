@@ -58,9 +58,16 @@ let truncate t ~host ~job ~stop =
   in
   set t host updated
 
+(* [overlaps] against a probe interval, without building the probe or a
+   closure: the scheduler asks this of every candidate host. *)
+let rec free_of start stop = function
+  | [] -> true
+  | i :: rest -> not (start < i.stop && i.start < stop) && free_of start stop rest
+
 let is_free t ~host ~start ~stop =
-  let probe = { start; stop; job = -1 } in
-  not (List.exists (overlaps probe) (get t host))
+  match Hashtbl.find t.slots host with
+  | intervals -> free_of start stop intervals
+  | exception Not_found -> true
 
 let free_at t ~host time = is_free t ~host ~start:time ~stop:(time +. 1e-9)
 

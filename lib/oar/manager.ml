@@ -31,6 +31,11 @@ type t = {
          rarely (on refresh), so filter evaluation over 894 hosts is
          memoised, keyed structurally so callers holding a pre-parsed
          filter never re-render it to a string *)
+  mutable probe_at : float;
+  mutable probe_until : float;
+      (* [probe_at +. 1.0], the end of the window [host_free_now] probes,
+         kept per instant: the scheduler prechecks many hosts at one
+         instant, and a fresh bound per host would allocate a float *)
 }
 
 let engine t = t.instance.Testbed.Instance.engine
@@ -38,10 +43,13 @@ let now t = Simkit.Engine.now (engine t)
 let instance t = t.instance
 let properties t = t.props
 
+(* Filter results depend on the property rows alone, so the cache
+   survives a refresh that changed none of them. *)
 let refresh_properties t =
-  Property.refresh_from_refapi t.props
-    (Testbed.Faults.context t.instance.Testbed.Instance.faults);
-  Filter_cache.reset t.filter_cache
+  if
+    Property.refresh_from_refapi t.props
+      (Testbed.Faults.context t.instance.Testbed.Instance.faults)
+  then Filter_cache.reset t.filter_cache
 
 let create instance =
   let t =
@@ -57,6 +65,8 @@ let create instance =
       running = Hashtbl.create 256;
       last_prune = Float.neg_infinity;
       filter_cache = Filter_cache.create 64;
+      probe_at = Float.nan;
+      probe_until = Float.nan;
     }
   in
   refresh_properties t;
@@ -84,9 +94,9 @@ let finish t job state =
   List.iter (fun f -> f job) t.listeners
 
 let matching_hosts_arr t filter =
-  match Filter_cache.find_opt t.filter_cache filter with
-  | Some hosts -> hosts
-  | None ->
+  match Filter_cache.find t.filter_cache filter with
+  | hosts -> hosts
+  | exception Not_found ->
     let hosts =
       Property.hosts t.props
       |> List.filter (fun host ->
@@ -104,33 +114,40 @@ let host_usable t host =
     node.Testbed.Node.state <> Testbed.Node.Down && Testbed.Node.in_service node
   | None -> false
 
+let probe_now t =
+  let time = now t in
+  if not (Float.equal time t.probe_at) then begin
+    t.probe_at <- time;
+    t.probe_until <- time +. 1.0
+  end
+
 (* Alive, in service (not sidelined by the health loop), and unreserved
-   for the next instant. *)
-let host_free_now t ~time host =
-  match Testbed.Instance.find_node t.instance host with
-  | Some node ->
+   for the next instant; [probe_now] must have run at this instant. *)
+let host_free_now t host =
+  match Testbed.Instance.node t.instance host with
+  | node ->
     Testbed.Node.is_available node
     && Testbed.Node.in_service node
-    && Gantt.is_free t.gantt ~host ~start:time ~stop:(time +. 1.0)
-  | None -> false
+    && Gantt.is_free t.gantt ~host ~start:t.probe_at ~stop:t.probe_until
+  | exception Not_found -> false
 
 let free_matching_now t filter =
-  let time = now t in
+  probe_now t;
   let hosts = matching_hosts_arr t filter in
   Array.fold_right
-    (fun host acc -> if host_free_now t ~time host then host :: acc else acc)
+    (fun host acc -> if host_free_now t host then host :: acc else acc)
     hosts []
 
 let free_at_least t filter n =
   n <= 0
   ||
-  let time = now t in
+  let () = probe_now t in
   let hosts = matching_hosts_arr t filter in
   let len = Array.length hosts in
   let found = ref 0 in
   let i = ref 0 in
   while !found < n && !i < len do
-    if host_free_now t ~time hosts.(!i) then incr found;
+    if host_free_now t hosts.(!i) then incr found;
     incr i
   done;
   !found >= n

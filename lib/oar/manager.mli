@@ -26,7 +26,9 @@ val instance : t -> Testbed.Instance.t
 val properties : t -> Property.t
 
 val refresh_properties : t -> unit
-(** Re-derive the property database from the Reference API. *)
+(** Bring the property database up to date with the Reference API (see
+    {!Property.refresh_from_refapi}).  The filter cache behind
+    {!matching_hosts} is emptied only when a property row changed. *)
 
 val submit :
   t ->

@@ -1,6 +1,18 @@
-type t = { rows : (string, (string * string) list) Hashtbl.t }
+(* One memoised row per host.  [doc] is the Reference API document the
+   row was derived from, compared physically: documents are immutable and
+   replaced whole when republished or corrupted.  [desync_key] is the
+   host's ["oar_desync:<host>"] flag, built once so that a refresh that
+   changes nothing allocates nothing. *)
+type row = {
+  mutable doc : Simkit.Json.t;
+  mutable desync : bool;
+  desync_key : string;
+  mutable props : (string * string) list;
+}
 
-let create () = { rows = Hashtbl.create 1024 }
+type t = { rows : (string, row) Hashtbl.t; mutable hosts : string list }
+
+let create () = { rows = Hashtbl.create 1024; hosts = [] }
 
 let yes_no b = if b then "YES" else "NO"
 
@@ -34,34 +46,54 @@ let expected_of_doc doc =
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) props
 
+(* Active desync corruption: flip the gpu property. *)
+let derive doc ~desync =
+  let props = expected_of_doc doc in
+  if desync then
+    List.map
+      (fun (k, v) ->
+        if String.equal k "gpu" then (k, if v = "YES" then "NO" else "YES")
+        else (k, v))
+      props
+  else props
+
 let refresh_from_refapi t ctx =
-  Hashtbl.reset t.rows;
-  List.iter
-    (fun host ->
-      match Testbed.Refapi.get ctx.Testbed.Faults.refapi host with
-      | None -> ()
-      | Some doc ->
-        let props = expected_of_doc doc in
-        let props =
-          (* Active desync corruption: flip the gpu property. *)
-          if Hashtbl.mem ctx.Testbed.Faults.flags ("oar_desync:" ^ host) then
-            List.map
-              (fun (k, v) ->
-                if String.equal k "gpu" then (k, if v = "YES" then "NO" else "YES")
-                else (k, v))
-              props
-          else props
-        in
-        Hashtbl.replace t.rows host props)
-    (Testbed.Refapi.hosts ctx.Testbed.Faults.refapi)
+  let flags = ctx.Testbed.Faults.flags in
+  let changed = ref false in
+  let added = ref false in
+  Testbed.Refapi.iter ctx.Testbed.Faults.refapi (fun host doc ->
+      match Hashtbl.find t.rows host with
+      | row ->
+        let desync = Hashtbl.mem flags row.desync_key in
+        if row.doc != doc || row.desync <> desync then begin
+          let props = derive doc ~desync in
+          if props <> row.props then changed := true;
+          row.doc <- doc;
+          row.desync <- desync;
+          row.props <- props
+        end
+      | exception Not_found ->
+        let desync_key = "oar_desync:" ^ host in
+        let desync = Hashtbl.mem flags desync_key in
+        Hashtbl.replace t.rows host
+          { doc; desync; desync_key; props = derive doc ~desync };
+        added := true);
+  (* Published documents are never withdrawn, so the host list only
+     grows. *)
+  if !added then
+    t.hosts <-
+      Hashtbl.fold (fun host _ acc -> host :: acc) t.rows []
+      |> List.sort String.compare;
+  !changed || !added
 
 let get t ~host key =
   match Hashtbl.find_opt t.rows host with
   | None -> None
-  | Some props -> List.assoc_opt key props
+  | Some row -> List.assoc_opt key row.props
 
 let props_fun t ~host key = get t ~host key
-let all_of t ~host = Option.value ~default:[] (Hashtbl.find_opt t.rows host)
 
-let hosts t =
-  Hashtbl.fold (fun host _ acc -> host :: acc) t.rows [] |> List.sort String.compare
+let all_of t ~host =
+  match Hashtbl.find_opt t.rows host with None -> [] | Some row -> row.props
+
+let hosts t = t.hosts

@@ -11,9 +11,12 @@ type t
 
 val create : unit -> t
 
-val refresh_from_refapi : t -> Testbed.Faults.ctx -> unit
-(** Rebuild all property rows from the current Reference API documents,
-    then apply any active [oar_desync] corruption flags. *)
+val refresh_from_refapi : t -> Testbed.Faults.ctx -> bool
+(** Bring every property row up to date with the current Reference API
+    documents and the active [oar_desync] corruption flags.  A row is
+    re-derived only when its document was replaced (physical identity)
+    or its flag toggled.  Returns [true] when some row's properties or
+    the host set changed, [false] when every row reads as before. *)
 
 val get : t -> host:string -> string -> string option
 (** Property lookup, e.g. [get t ~host "cluster"]. *)
@@ -25,6 +28,7 @@ val all_of : t -> host:string -> (string * string) list
 (** All properties of a host, sorted by name. *)
 
 val hosts : t -> string list
+(** Hosts with a row, sorted. *)
 
 val expected_of_doc : Simkit.Json.t -> (string * string) list
 (** Properties a Reference API document should induce — used by the

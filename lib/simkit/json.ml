@@ -15,10 +15,23 @@ let rec equal a b =
   | Float x, Float y -> x = y
   | Int x, Float y | Float y, Int x -> float_of_int x = y
   | String x, String y -> String.equal x y
-  | List x, List y -> List.length x = List.length y && List.for_all2 equal x y
-  | Obj x, Obj y ->
-    List.length x = List.length y
-    && List.for_all2 (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
+  | List x, List y -> equal_items x y
+  | Obj x, Obj y -> equal_members x y
+  | _ -> false
+
+(* Direct recursion, no closures: comparing two documents allocates
+   nothing. *)
+and equal_items x y =
+  match (x, y) with
+  | [], [] -> true
+  | a :: x, b :: y -> equal a b && equal_items x y
+  | _ -> false
+
+and equal_members x y =
+  match (x, y) with
+  | [], [] -> true
+  | (k1, v1) :: x, (k2, v2) :: y ->
+    String.equal k1 k2 && equal v1 v2 && equal_members x y
   | _ -> false
 
 let escape s =
@@ -271,28 +284,35 @@ let float_member key t =
 let bool_member key t = match member key t with Some (Bool b) -> Some b | _ -> None
 let list_member key t = match member key t with Some (List l) -> Some l | _ -> None
 
+(* An equal subtree can record no difference, so it is skipped before
+   its key list or path string is built: two equal documents cost one
+   [equal] walk and allocate nothing.  [go] only sees unequal pairs. *)
 let diff reference actual =
-  let out = ref [] in
-  let record path a b = out := (path, a, b) :: !out in
-  let rec go path a b =
-    match (a, b) with
-    | Obj ma, Obj mb ->
-      let keys =
-        List.sort_uniq String.compare (List.map fst ma @ List.map fst mb)
-      in
-      List.iter
-        (fun k ->
-          let sub = if path = "" then k else path ^ "/" ^ k in
-          match (List.assoc_opt k ma, List.assoc_opt k mb) with
-          | Some va, Some vb -> go sub va vb
-          | Some va, None -> record sub (Some va) None
-          | None, Some vb -> record sub None (Some vb)
-          | None, None -> ())
-        keys
-    | List la, List lb when List.length la = List.length lb ->
-      List.iteri (fun i (va, vb) -> go (Printf.sprintf "%s/%d" path i) va vb)
-        (List.combine la lb)
-    | a, b -> if not (equal a b) then record path (Some a) (Some b)
-  in
-  go "" reference actual;
-  List.rev !out
+  if equal reference actual then []
+  else begin
+    let out = ref [] in
+    let record path a b = out := (path, a, b) :: !out in
+    let sub path k = if path = "" then k else path ^ "/" ^ k in
+    let rec go path a b =
+      match (a, b) with
+      | Obj ma, Obj mb ->
+        let keys =
+          List.sort_uniq String.compare (List.map fst ma @ List.map fst mb)
+        in
+        List.iter
+          (fun k ->
+            (* [k] comes from [ma] or [mb], so one side is present. *)
+            match (List.assoc_opt k ma, List.assoc_opt k mb) with
+            | Some va, Some vb -> if not (equal va vb) then go (sub path k) va vb
+            | va, vb -> record (sub path k) va vb)
+          keys
+      | List la, List lb when List.length la = List.length lb ->
+        List.iteri
+          (fun i (va, vb) ->
+            if not (equal va vb) then go (Printf.sprintf "%s/%d" path i) va vb)
+          (List.combine la lb)
+      | a, b -> record path (Some a) (Some b)
+    in
+    go "" reference actual;
+    List.rev !out
+  end

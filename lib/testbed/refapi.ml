@@ -76,5 +76,7 @@ let corrupt t ~rng ~host =
     Hashtbl.replace t.docs host doc;
     Some what
 
+let iter t f = Hashtbl.iter f t.docs
+
 let hosts t =
   Hashtbl.fold (fun host _ acc -> host :: acc) t.docs [] |> List.sort String.compare

@@ -36,4 +36,10 @@ val corrupt : t -> rng:Simkit.Prng.t -> host:string -> string option
     Returns a human-readable description of the error, or [None] if the
     host is unknown. *)
 
+val iter : t -> (string -> Simkit.Json.t -> unit) -> unit
+(** Visit every published document, in unspecified order.  A document is
+    an immutable value that {!publish_node} and {!corrupt} replace whole,
+    so a caller may remember one and compare it physically ([==]) with a
+    later visit to learn whether it changed. *)
+
 val hosts : t -> string list
