@@ -106,7 +106,10 @@ type t = {
   mutable recoveries : int;
   mutable degraded_s : float;
   mutable alerts_fired : int;
-  mutable staleness_samples : (float * int) list;  (* value, weight *)
+  mutable staleness_samples : (float * int) list;
+      (* value, weight; non-zero values only *)
+  mutable zero_staleness : int;
+      (* weight of all 0.0 samples, folded into one entry by [summary] *)
   mutable staleness_max : float;
   (* wall-clock probe, injected by the benchmark *)
   mutable clock : (unit -> float) option;
@@ -144,9 +147,12 @@ let ensure_current t =
 let staleness_now t now =
   match t.dirty_since with Some since -> now -. since | None -> 0.0
 
+(* Nearly every tick serves fresh, so its sample is 0.0: counting those
+   instead of consing them keeps the sample list to degraded ticks. *)
 let sample_staleness t value weight =
   if weight > 0 then begin
-    t.staleness_samples <- (value, weight) :: t.staleness_samples;
+    if value = 0.0 then t.zero_staleness <- t.zero_staleness + weight
+    else t.staleness_samples <- (value, weight) :: t.staleness_samples;
     if value > t.staleness_max then t.staleness_max <- value
   end
 
@@ -360,6 +366,7 @@ let attach ?alerts ~config env page =
       degraded_s = 0.0;
       alerts_fired = 0;
       staleness_samples = [];
+      zero_staleness = 0;
       staleness_max = 0.0;
       clock = None;
       busy_s = 0.0;
@@ -412,6 +419,12 @@ let weighted_percentile samples p =
 
 let summary t =
   let served = t.fresh_n + t.not_modified_n + t.stale_n + t.fallback_n in
+  (* Staleness is never negative, so the folded 0.0 entry sorts first,
+     where its samples would have: the percentiles do not change. *)
+  let staleness_samples =
+    if t.zero_staleness = 0 then t.staleness_samples
+    else (0.0, t.zero_staleness) :: t.staleness_samples
+  in
   {
     reads = t.reads;
     fresh = t.fresh_n;
@@ -427,8 +440,8 @@ let summary t =
     recoveries = t.recoveries;
     degraded_seconds = t.degraded_s;
     alerts_fired = t.alerts_fired;
-    staleness_p50 = weighted_percentile t.staleness_samples 0.50;
-    staleness_p99 = weighted_percentile t.staleness_samples 0.99;
+    staleness_p50 = weighted_percentile staleness_samples 0.50;
+    staleness_p99 = weighted_percentile staleness_samples 0.99;
     staleness_max = t.staleness_max;
     hit_ratio =
       (if served = 0 then nan

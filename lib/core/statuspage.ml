@@ -1,6 +1,10 @@
 type cell = Ok_ | Ko | Unst | Missing
 
-type record = { mutable latest : (float * cell) option }
+(* One (family, site, scope) cell and the per-rank tally of the latest
+   cells of its (family, site); every scope of that pair shares the
+   tally array, so updating a cell and its site roll-up costs the one
+   lookup that finds the cell. *)
+type site_cell = { mutable cell : cell; tally : int array }
 
 type month_counter = {
   mutable completed : int;
@@ -17,9 +21,11 @@ type family_counter = {
 
 type t = {
   env : Env.t;
-  cells : (string * string, record) Hashtbl.t;  (* (family, scope) -> latest *)
-  site_cells : (string * string * string, record) Hashtbl.t;
+  cells : (string * string, cell) Hashtbl.t;  (* (family, scope) -> latest *)
+  site_cells : (string * string * string, site_cell) Hashtbl.t;
       (* (family, site, scope) *)
+  site_tallies : (string * string, int array) Hashtbl.t;
+      (* (family, site) -> count of latest cells by [rank] *)
   months : (int, month_counter) Hashtbl.t;
   families : (string, family_counter) Hashtbl.t;
   (* Snapshot versioning for the serving layer: the global counter bumps
@@ -51,9 +57,9 @@ let cell_of_result = function
   | Ci.Build.Unstable -> Unst
   | Ci.Build.Failure | Ci.Build.Aborted | Ci.Build.Not_built -> Ko
 
-let worse a b =
-  let rank = function Missing -> 0 | Ok_ -> 1 | Unst -> 2 | Ko -> 3 in
-  if rank a >= rank b then a else b
+(* Severity order of the site roll-up: a site shows the worst latest
+   result among its scopes. *)
+let rank = function Missing -> 0 | Ok_ -> 1 | Unst -> 2 | Ko -> 3
 
 let scope_of_config config =
   match config.Testdef.cluster with
@@ -85,8 +91,8 @@ let on_completed t build =
   | Some config, Some result ->
     let family = Testdef.family_to_string config.Testdef.family in
     let scope = scope_of_config config in
-    (* Timestamp with the build's own completion time (the CI server sets
-       it before notifying listeners, so live operation is unchanged):
+    (* Bucket by the build's own completion time (the CI server sets it
+       before notifying listeners, so live operation is unchanged):
        replaying the same builds later — the serving layer's crash
        recovery — reproduces every record byte for byte. *)
     let now =
@@ -95,18 +101,7 @@ let on_completed t build =
       | None -> Env.now t.env
     in
     let cell = cell_of_result result in
-    let store table key =
-      let record =
-        match Hashtbl.find_opt table key with
-        | Some r -> r
-        | None ->
-          let r = { latest = None } in
-          Hashtbl.replace table key r;
-          r
-      in
-      record.latest <- Some (now, cell)
-    in
-    store t.cells (family, scope);
+    Hashtbl.replace t.cells (family, scope) cell;
     t.generation <- t.generation + 1;
     (match Testdef.effective_site config with
      | Some site ->
@@ -114,23 +109,37 @@ let on_completed t build =
          (1 + Option.value ~default:0 (Hashtbl.find_opt t.site_generations site))
      | None -> ());
     (match config.Testdef.site with
-     | Some site -> store t.site_cells (family, site, scope)
+     | Some site -> (
+       match Hashtbl.find t.site_cells (family, site, scope) with
+       | sc ->
+         sc.tally.(rank sc.cell) <- sc.tally.(rank sc.cell) - 1;
+         sc.tally.(rank cell) <- sc.tally.(rank cell) + 1;
+         sc.cell <- cell
+       | exception Not_found ->
+         let tally =
+           match Hashtbl.find_opt t.site_tallies (family, site) with
+           | Some tally -> tally
+           | None ->
+             let tally = Array.make 4 0 in
+             Hashtbl.replace t.site_tallies (family, site) tally;
+             tally
+         in
+         tally.(rank cell) <- tally.(rank cell) + 1;
+         Hashtbl.replace t.site_cells (family, site, scope) { cell; tally })
      | None -> ());
     let mc = month_counter t (Simkit.Calendar.month_index now) in
     mc.completed <- mc.completed + 1;
+    let fc = family_counter t config.Testdef.family in
     (match cell with
      | Ok_ ->
        mc.successful <- mc.successful + 1;
-       (family_counter t config.Testdef.family).f_ok <-
-         (family_counter t config.Testdef.family).f_ok + 1
+       fc.f_ok <- fc.f_ok + 1
      | Ko ->
        mc.failed <- mc.failed + 1;
-       (family_counter t config.Testdef.family).f_ko <-
-         (family_counter t config.Testdef.family).f_ko + 1
+       fc.f_ko <- fc.f_ko + 1
      | Unst | Missing ->
        mc.unstable_n <- mc.unstable_n + 1;
-       (family_counter t config.Testdef.family).f_unstable <-
-         (family_counter t config.Testdef.family).f_unstable + 1)
+       fc.f_unstable <- fc.f_unstable + 1)
   | _ -> ()
 
 let create env =
@@ -139,6 +148,7 @@ let create env =
       env;
       cells = Hashtbl.create 2048;
       site_cells = Hashtbl.create 2048;
+      site_tallies = Hashtbl.create 256;
       months = Hashtbl.create 16;
       families = Hashtbl.create 16;
       generation = 0;
@@ -155,6 +165,7 @@ let reset t =
      generation counters monotonic — see the type comment. *)
   Hashtbl.reset t.cells;
   Hashtbl.reset t.site_cells;
+  Hashtbl.reset t.site_tallies;
   Hashtbl.reset t.months;
   Hashtbl.reset t.families
 
@@ -164,18 +175,20 @@ let site_generation t ~site =
   Option.value ~default:0 (Hashtbl.find_opt t.site_generations site)
 
 let latest t ~family ~scope =
-  match Hashtbl.find_opt t.cells (Testdef.family_to_string family, scope) with
-  | Some { latest = Some (_, cell) } -> cell
-  | _ -> Missing
+  match Hashtbl.find t.cells (Testdef.family_to_string family, scope) with
+  | cell -> cell
+  | exception Not_found -> Missing
 
+(* Worst of a multiset is its largest rank present, whatever order the
+   cells were recorded in, so the tally answers without a scan. *)
 let site_status t ~family ~site =
-  let family_name = Testdef.family_to_string family in
-  Hashtbl.fold
-    (fun (f, s, _) record acc ->
-      if String.equal f family_name && String.equal s site then
-        match record.latest with Some (_, cell) -> worse acc cell | None -> acc
-      else acc)
-    t.site_cells Missing
+  match Hashtbl.find t.site_tallies (Testdef.family_to_string family, site) with
+  | tally ->
+    if tally.(rank Ko) > 0 then Ko
+    else if tally.(rank Unst) > 0 then Unst
+    else if tally.(rank Ok_) > 0 then Ok_
+    else Missing
+  | exception Not_found -> Missing
 
 let per_test_matrix t =
   let header = "test" :: Testbed.Inventory.sites in

@@ -218,6 +218,14 @@ let test_campaign_serve_off_byte_identical () =
   checks "same status page HTML" off.Framework.Campaign.statuspage_html
     on_.Framework.Campaign.statuspage_html
 
+(* Staleness percentiles as the list of every weighted sample gave them
+   before 0.0 samples were folded into one count; the fold must not move
+   them. *)
+let check_staleness (s : Framework.Serve.summary) ~p50 ~p99 ~max =
+  Alcotest.(check (float 0.0)) "staleness p50" p50 s.Framework.Serve.staleness_p50;
+  Alcotest.(check (float 0.0)) "staleness p99" p99 s.Framework.Serve.staleness_p99;
+  Alcotest.(check (float 0.0)) "staleness max" max s.Framework.Serve.staleness_max
+
 let test_campaign_serve_conservation () =
   let report = Framework.Campaign.run serve_campaign_base in
   match report.Framework.Campaign.serve with
@@ -228,6 +236,7 @@ let test_campaign_serve_conservation () =
     checkb "zero reads fail outright (conservation)" true (conserved s);
     checkb "cache absorbs almost everything" true
       (s.Framework.Serve.renders_saved > s.Framework.Serve.renders);
+    check_staleness s ~p50:0.0 ~p99:0x1.e89a6f3969p+8 ~max:0x1.6f9c8534858p+9;
     checkb "status page text carries the serving section" true
       (let hay = report.Framework.Campaign.statuspage in
        let needle = "Serving" in
@@ -251,10 +260,26 @@ let test_campaign_crash_drill_byte_identity () =
    | Some s ->
      checki "the drill crashed the service once" 1 s.Framework.Serve.crashes;
      checki "journal replay recovered it" 1 s.Framework.Serve.recoveries;
-     checkb "conservation survives the crash" true (conserved s));
+     checkb "conservation survives the crash" true (conserved s);
+     check_staleness s ~p50:0.0 ~p99:0x1.e17cef331ap+8 ~max:0x1.6f9c8534858p+9);
   checks "recovered page is byte-identical to the uncrashed run's"
     uncrashed.Framework.Campaign.statuspage_html
     crashed.Framework.Campaign.statuspage_html
+
+let test_campaign_flash_off_staleness () =
+  let report =
+    Framework.Campaign.run
+      { serve_campaign_base with
+        Framework.Campaign.serve =
+          Some { Framework.Serve.default_config with Framework.Serve.flash_every = 0.0 };
+      }
+  in
+  match report.Framework.Campaign.serve with
+  | None -> Alcotest.fail "serve summary missing"
+  | Some s ->
+    checkb "without flash crowds every read is fresh" true
+      (s.Framework.Serve.stale = 0 && s.Framework.Serve.fallback = 0);
+    check_staleness s ~p50:0.0 ~p99:0.0 ~max:0.0
 
 let () =
   Alcotest.run "serve"
@@ -277,5 +302,7 @@ let () =
             test_campaign_serve_off_byte_identical;
           Alcotest.test_case "conservation" `Slow test_campaign_serve_conservation;
           Alcotest.test_case "crash drill byte-identity" `Slow
-            test_campaign_crash_drill_byte_identity ] );
+            test_campaign_crash_drill_byte_identity;
+          Alcotest.test_case "flash-off staleness" `Slow
+            test_campaign_flash_off_staleness ] );
     ]
