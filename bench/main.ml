@@ -10,6 +10,21 @@ let section id title =
   Printf.printf "%s — %s\n" id title;
   Printf.printf "================================================================\n%!"
 
+(* Writes a scenario's results to [file] and echoes them. *)
+let write_bench file json =
+  let text = Simkit.Json.to_string ~indent:2 json in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc text;
+      output_char oc '\n');
+  print_endline text;
+  print_endline ("written to " ^ file)
+
+(* One row of a gated scenario's [gates] array: the figure the CI perf
+   gate compares with the checked-in baseline (see [Framework.Perfgate]).
+   Every gate allows 20% against its baseline. *)
+let gate ?floor metric value better =
+  { Framework.Perfgate.metric; value; better; tolerance_pct = 20.0; floor }
+
 (* ---- E1: testbed inventory (slide 6) ------------------------------------- *)
 
 let e1 () =
@@ -720,13 +735,7 @@ let e12_scheduler () =
               ("linear_alloc_bytes", Float alloc_lin);
               ("speedup", Float speedup) ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_scheduler.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_scheduler.json"
+  write_bench "BENCH_scheduler.json" json
 
 (* ---- E13: self-healing loop under correlated faults ------------------------------------- *)
 
@@ -859,13 +868,7 @@ let e13_health () =
             [ ("without_probe_ns", Float ns_off);
               ("with_probe_ns", Float ns_on) ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_health.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_health.json"
+  write_bench "BENCH_health.json" json
 
 (* ---- E14: Trustlint + runtime audit overhead -------------------------------------------- *)
 
@@ -950,15 +953,14 @@ let e14_lint () =
               ("checks_run", Int summary.Simkit.Audit.checks_run);
               ("violations", Int (List.length summary.Simkit.Audit.violations));
               ("races_flagged", Int summary.Simkit.Audit.races_flagged);
-              ("events_observed", Int summary.Simkit.Audit.events_observed) ] ) ]
+              ("events_observed", Int summary.Simkit.Audit.events_observed) ] );
+        (* The deep analysis runs in milliseconds, far below runner
+           noise, so the gate only bites above an absolute 0.25 s floor. *)
+        ( "gates",
+          Framework.Perfgate.rows_to_json
+            [ gate ~floor:0.25 "lint.wall_s" lint_wall Framework.Perfgate.Lower ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_lint.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_lint.json"
+  write_bench "BENCH_lint.json" json
 
 (* ---- E15: triage pipeline at scale ------------------------------------------------------ *)
 
@@ -1044,7 +1046,16 @@ let e15_triage () =
     live_occ + stats.Framework.Bugtracker.tombstoned_occurrences = bundles
   in
   let counters_ok =
-    Framework.Bugtracker.counts tracker = Framework.Bugtracker.counts_scan tracker
+    (* The list-scan oracle, recomputed from the public listings. *)
+    let everything =
+      Framework.Bugtracker.all tracker @ Framework.Bugtracker.tombstoned tracker
+    in
+    let fixed =
+      List.filter
+        (fun b -> b.Framework.Bugtracker.status = Framework.Bugtracker.Fixed)
+        everything
+    in
+    Framework.Bugtracker.counts tracker = (List.length everything, List.length fixed)
   in
   let bound_ok =
     stats.Framework.Bugtracker.peak_live <= limits.Framework.Bugtracker.max_live
@@ -1089,22 +1100,16 @@ let e15_triage () =
         ("counters_match_oracle", Bool counters_ok);
         ("retained_heap_words", Int live_words) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_triage.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_triage.json"
+  write_bench "BENCH_triage.json" json
 
 (* ---- E16: engine raw speed ------------------------------------------------------------- *)
 
 (* Drives the 2-month reference campaign by hand through the engine's
    [next_time]/[step] API so every step's wall latency can be sampled,
    then reports events/s, minor words allocated per event and the step
-   latency percentiles.  Writes BENCH_engine.json — the checked-in copy
-   of that file is the baseline the CI perf gate compares against.
-   [--scenario engine] runs only this. *)
+   latency percentiles.  Writes BENCH_engine.json, whose [gates] row
+   (p95 step latency) the CI perf gate compares with the checked-in
+   copy.  [--scenario engine] runs only this. *)
 
 let e16_engine () =
   section "E16" "engine: events/s, allocation and step latency on the 2-month reference campaign";
@@ -1186,15 +1191,12 @@ let e16_engine () =
          Obj [ ("p50", Float p50); ("p95", Float p95); ("p99", Float p99);
                ("max", Float max_us) ]);
         ("anchor_events_per_s", Float anchor_events_per_s);
-        ("speedup_vs_anchor", Float speedup) ]
+        ("speedup_vs_anchor", Float speedup);
+        ( "gates",
+          Framework.Perfgate.rows_to_json
+            [ gate "step_latency_us.p95" p95 Framework.Perfgate.Lower ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_engine.json"
+  write_bench "BENCH_engine.json" json
 
 (* ---- E17: status-page serving layer ----------------------------------------------------- *)
 
@@ -1204,8 +1206,9 @@ let e16_engine () =
    12 h later) that forces a journal-replay recovery.  The wall-clock
    probe is injected here — the library never reads real time — so
    reads/s reflects the service loop's true per-read cost.  Writes
-   BENCH_serve.json, whose checked-in copy is the serve perf-gate
-   baseline.  [--scenario serve] runs only this. *)
+   BENCH_serve.json, whose [gates] row (p99 staleness) the CI perf gate
+   compares with the checked-in copy, and exits non-zero when read
+   conservation fails.  [--scenario serve] runs only this. *)
 
 let e17_serve () =
   section "E17" "serving: snapshot cache, shedding and crash recovery under >= 1M reads";
@@ -1278,7 +1281,6 @@ let e17_serve () =
     s.Framework.Serve.staleness_p99 s.Framework.Serve.staleness_max;
   Printf.printf "  crash drill: %d crash(es), %d recovery replay(s)\n"
     s.Framework.Serve.crashes s.Framework.Serve.recoveries;
-  if not conserved then print_endline "WARNING: serve read conservation violated!";
   let json =
     let open Simkit.Json in
     Obj
@@ -1305,15 +1307,20 @@ let e17_serve () =
         ("staleness_s",
          Obj [ ("p50", Float s.Framework.Serve.staleness_p50);
                ("p99", Float s.Framework.Serve.staleness_p99);
-               ("max", Float s.Framework.Serve.staleness_max) ]) ]
+               ("max", Float s.Framework.Serve.staleness_max) ]);
+        (* p99 staleness is simulation-deterministic, so the allowance
+           only tolerates a deliberate behaviour change; a zero baseline
+           tolerates only zero. *)
+        ( "gates",
+          Framework.Perfgate.rows_to_json
+            [ gate "staleness_s.p99" s.Framework.Serve.staleness_p99
+                Framework.Perfgate.Lower ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_serve.json"
+  write_bench "BENCH_serve.json" json;
+  if not conserved then begin
+    prerr_endline "serve: read conservation violated";
+    exit 1
+  end
 
 (* ---- E18: federation sharding --------------------------------------------------------- *)
 
@@ -1324,10 +1331,11 @@ let e17_serve () =
    cross-testbed coupling state after every event — the discipline a
    single engine with no lookahead contract must follow.  Both produce
    byte-identical reports (checked here across shard counts 1/2/4/8 and
-   the sequential/parallel/interleaved drivers); the speedup of the
-   sharded path over the reference is the gating figure.  Writes
-   BENCH_federation.json, whose checked-in copy is the federation
-   perf-gate baseline.  [--scenario federation] runs only this. *)
+   the sequential/parallel/interleaved drivers, and the bench exits
+   non-zero when any cell diverges); the speedup of the sharded path
+   over the reference is the gated figure.  Writes BENCH_federation.json,
+   whose [gates] row the CI perf gate compares with the checked-in copy.
+   [--scenario federation] runs only this. *)
 
 let e18_federation () =
   section "E18" "federation: sharded lookahead barriers vs unsharded reference";
@@ -1417,8 +1425,6 @@ let e18_federation () =
     c.Framework.Federation.backbone_faults c.Framework.Federation.vlan_grants
     c.Framework.Federation.vlan_requests c.Framework.Federation.link_tests
     c.Framework.Federation.audits;
-  if not identical then
-    print_endline "WARNING: federation runs diverged across shard counts!";
   let json =
     let open Simkit.Json in
     Obj
@@ -1445,15 +1451,18 @@ let e18_federation () =
               ("link_tests", Int c.Framework.Federation.link_tests);
               ("link_failures", Int c.Framework.Federation.link_failures);
               ("audits", Int c.Framework.Federation.audits);
-              ("min_in_service", Int c.Framework.Federation.min_in_service) ] ) ]
+              ("min_in_service", Int c.Framework.Federation.min_in_service) ] );
+        ( "gates",
+          Framework.Perfgate.rows_to_json
+            [ gate "speedup" speedup Framework.Perfgate.Higher ] ) ]
   in
-  let text = Simkit.Json.to_string ~indent:2 json in
-  let oc = open_out "BENCH_federation.json" in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  print_endline text;
-  print_endline "written to BENCH_federation.json"
+  write_bench "BENCH_federation.json" json;
+  (* A fast federation that no longer replays byte-identically across
+     shard counts and drivers is broken, whatever its speedup. *)
+  if not identical then begin
+    prerr_endline "federation: runs diverged across shard counts or drivers";
+    exit 1
+  end
 
 (* ---- Bechamel micro-benchmarks --------------------------------------------------------- *)
 

@@ -125,10 +125,6 @@ val counts : t -> int * int
 (** (filed, fixed) — O(1), from maintained counters.  Filed counts
     distinct signatures ever seen, including evicted ones. *)
 
-val counts_scan : t -> int * int
-(** The original O(n) list-scan implementation, kept as a reference
-    oracle for tests: must always equal {!counts}. *)
-
 val stats : t -> stats
 
 val by_category : t -> (string * int * int) list

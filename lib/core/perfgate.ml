@@ -1,242 +1,106 @@
-type metrics = {
-  events_per_s : float;
-  minor_words_per_event : float;
-  p95_step_us : float;
+type better = Lower | Higher
+
+type row = {
+  metric : string;
+  value : float;
+  better : better;
+  tolerance_pct : float;
+  floor : float option;
 }
 
-let metrics_of_json json =
-  let num path value =
-    match value with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" path)
-  in
-  let ( let* ) r f = Result.bind r f in
-  let* events_per_s = num "events_per_s" (Simkit.Json.float_member "events_per_s" json) in
-  let* minor_words_per_event =
-    num "minor_words_per_event" (Simkit.Json.float_member "minor_words_per_event" json)
-  in
-  let* p95_step_us =
-    match Simkit.Json.member "step_latency_us" json with
-    | Some latency -> num "step_latency_us.p95" (Simkit.Json.float_member "p95" latency)
-    | None -> Error "missing object \"step_latency_us\""
-  in
-  Ok { events_per_s; minor_words_per_event; p95_step_us }
+let better_name = function Lower -> "lower" | Higher -> "higher"
 
-let metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> metrics_of_json json
-
-type serve_metrics = {
-  reads_per_s : float;
-  hit_ratio : float;
-  p99_staleness_s : float;
-}
-
-let serve_metrics_of_json json =
-  let num path value =
-    match value with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" path)
+let rows_to_json rows =
+  let open Simkit.Json in
+  let row r =
+    Obj
+      ([ ("metric", String r.metric); ("value", Float r.value);
+         ("better", String (better_name r.better)); ("tolerance_pct", Float r.tolerance_pct) ]
+      @ Option.fold ~none:[] ~some:(fun f -> [ ("floor", Float f) ]) r.floor)
   in
-  let ( let* ) r f = Result.bind r f in
-  let* reads_per_s = num "reads_per_s" (Simkit.Json.float_member "reads_per_s" json) in
-  let* hit_ratio = num "hit_ratio" (Simkit.Json.float_member "hit_ratio" json) in
-  let* p99_staleness_s =
-    match Simkit.Json.member "staleness_s" json with
-    | Some staleness -> num "staleness_s.p99" (Simkit.Json.float_member "p99" staleness)
-    | None -> Error "missing object \"staleness_s\""
-  in
-  Ok { reads_per_s; hit_ratio; p99_staleness_s }
+  List (List.map row rows)
 
-let serve_metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> serve_metrics_of_json json
+let ( let* ) = Result.bind
 
-type federation_metrics = {
-  speedup : float;
-  identical : bool;
-  sharded_events_per_s : float;
-  reference_events_per_s : float;
-}
+let row_of_json i json =
+  let fail name what = Error (Printf.sprintf "gates[%d].%s %s" i name what) in
+  let get name = Simkit.Json.member name json in
+  let number name = function
+    | Some (Simkit.Json.Float f) when Float.is_finite f -> Ok f
+    | Some (Simkit.Json.Int n) -> Ok (float_of_int n)
+    | None -> fail name "is missing"
+    | Some _ -> fail name "is not a finite number"
+  in
+  let* metric =
+    match get "metric" with
+    | Some (Simkit.Json.String m) -> Ok m
+    | _ -> fail "metric" "is missing or not a string"
+  in
+  let* value = number "value" (get "value") in
+  let* better =
+    match get "better" with
+    | Some (Simkit.Json.String "lower") -> Ok Lower
+    | Some (Simkit.Json.String "higher") -> Ok Higher
+    | _ -> fail "better" "is not \"lower\" or \"higher\""
+  in
+  let* tolerance_pct = number "tolerance_pct" (get "tolerance_pct") in
+  let* () = if tolerance_pct < 0.0 then fail "tolerance_pct" "is negative" else Ok () in
+  let* floor =
+    if get "floor" = None then Ok None else Result.map Option.some (number "floor" (get "floor"))
+  in
+  Ok { metric; value; better; tolerance_pct; floor }
 
-let federation_metrics_of_json json =
-  let num path value =
-    match value with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" path)
+let load text =
+  let* json = Result.map_error (( ^ ) "not JSON: ") (Simkit.Json.of_string text) in
+  let rec rows i seen = function
+    | [] -> Ok []
+    | item :: rest ->
+      let* row = row_of_json i item in
+      if List.mem row.metric seen then
+        Error (Printf.sprintf "gates[%d].metric %S is a duplicate" i row.metric)
+      else
+        let* tail = rows (i + 1) (row.metric :: seen) rest in
+        Ok (row :: tail)
   in
-  let ( let* ) r f = Result.bind r f in
-  let* speedup = num "speedup" (Simkit.Json.float_member "speedup" json) in
-  let* identical =
-    match Simkit.Json.member "identical_across_shards" json with
-    | Some (Simkit.Json.Bool b) -> Ok b
-    | Some _ -> Error "field \"identical_across_shards\" is not a boolean"
-    | None -> Error "missing boolean field \"identical_across_shards\""
-  in
-  let* sharded_events_per_s =
-    num "sharded_events_per_s" (Simkit.Json.float_member "sharded_events_per_s" json)
-  in
-  let* reference_events_per_s =
-    num "reference_events_per_s"
-      (Simkit.Json.float_member "reference_events_per_s" json)
-  in
-  Ok { speedup; identical; sharded_events_per_s; reference_events_per_s }
+  match Simkit.Json.member "gates" json with
+  | Some (Simkit.Json.List []) -> Error "array \"gates\" is empty"
+  | Some (Simkit.Json.List items) -> rows 0 [] items
+  | _ -> Error "missing array \"gates\""
 
-let federation_metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> federation_metrics_of_json json
+(* The floor, when present, loosens the relative limit and never tightens it. *)
+let limit r =
+  let relative sign = r.value *. (1.0 +. (sign *. r.tolerance_pct /. 100.0)) in
+  match r.better with
+  | Lower -> Option.fold r.floor ~none:(relative 1.0) ~some:(Float.max (relative 1.0))
+  | Higher -> Option.fold r.floor ~none:(relative (-1.0)) ~some:(Float.min (relative (-1.0)))
 
-type lint_metrics = {
-  wall_s : float;
-  configurations : int;
-  diagnostics : int;
-}
+type verdict = { ok : bool; lines : string list }
 
-let lint_metrics_of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let* lint =
-    match Simkit.Json.member "lint" json with
-    | Some l -> Ok l
-    | None -> Error "missing object \"lint\""
+let check ~baseline ~current =
+  let find rows metric = List.find_opt (fun r -> r.metric = metric) rows in
+  let gate b =
+    match find current b.metric with
+    | None ->
+      (false, Printf.sprintf "%s: baseline %g, MISSING from the current run" b.metric b.value)
+    | Some c ->
+      let l = limit b in
+      let ok = match b.better with Lower -> c.value <= l | Higher -> c.value >= l in
+      let delta = if b.value = 0.0 then 0.0 else (c.value -. b.value) /. b.value *. 100.0 in
+      ( ok,
+        Printf.sprintf "%s: baseline %g, current %g (%+.1f%%; %s is better, limit %g) %s"
+          b.metric b.value c.value delta (better_name b.better) l
+          (if ok then "ok" else "REGRESSED") )
   in
-  let* wall_s =
-    match Simkit.Json.float_member "wall_s" lint with
-    | Some f -> Ok f
-    | None -> Error "missing numeric field \"lint.wall_s\""
+  let gated = List.map (fun b -> (b.metric, gate b)) baseline in
+  let extra =
+    List.filter (fun c -> find baseline c.metric = None) current
+    |> List.map (fun c ->
+           Printf.sprintf "%s: current %g (not in the baseline, not gated)" c.metric c.value)
   in
-  let* configurations =
-    match Simkit.Json.int_member "configurations" lint with
-    | Some i -> Ok i
-    | None -> Error "missing integer field \"lint.configurations\""
-  in
-  let* diagnostics =
-    match Simkit.Json.int_member "diagnostics" lint with
-    | Some i -> Ok i
-    | None -> Error "missing integer field \"lint.diagnostics\""
-  in
-  Ok { wall_s; configurations; diagnostics }
-
-let lint_metrics_of_string text =
-  match Simkit.Json.of_string text with
-  | Error e -> Error e
-  | Ok json -> lint_metrics_of_json json
-
-type verdict = {
-  ok : bool;
-  lines : string list;
-}
-
-let default_threshold_pct = 20.0
-
-let check ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let limit = baseline.p95_step_us *. (1.0 +. (threshold_pct /. 100.0)) in
-  let ok = current.p95_step_us <= limit in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  let lines =
-    [ Printf.sprintf "p95 step latency: baseline %.2f us, current %.2f us (%+.1f%%, limit %.2f us at +%.0f%%)"
-        baseline.p95_step_us current.p95_step_us
-        (delta_pct baseline.p95_step_us current.p95_step_us)
-        limit threshold_pct;
-      Printf.sprintf "events/s:         baseline %.0f, current %.0f (%+.1f%%, informational)"
-        baseline.events_per_s current.events_per_s
-        (delta_pct baseline.events_per_s current.events_per_s);
-      Printf.sprintf "minor words/evt:  baseline %.1f, current %.1f (informational)"
-        baseline.minor_words_per_event current.minor_words_per_event;
-      (if ok then "perfgate: PASS" else "perfgate: FAIL (p95 step latency regressed beyond threshold)") ]
-  in
-  { ok; lines }
-
-let check_serve ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  (* p99 staleness is simulation-deterministic, so the same allowance
-     that absorbs runner noise on the engine gate here only tolerates a
-     deliberate behaviour change; any regression beyond it fails. *)
-  let limit =
-    if baseline.p99_staleness_s = 0.0 then 0.0
-    else baseline.p99_staleness_s *. (1.0 +. (threshold_pct /. 100.0))
-  in
-  let ok = current.p99_staleness_s <= limit in
-  let lines =
-    [ Printf.sprintf
-        "p99 staleness:    baseline %.2f s, current %.2f s (%+.1f%%, limit %.2f s at +%.0f%%)"
-        baseline.p99_staleness_s current.p99_staleness_s
-        (delta_pct baseline.p99_staleness_s current.p99_staleness_s)
-        limit threshold_pct;
-      Printf.sprintf "reads/s:          baseline %.0f, current %.0f (%+.1f%%, informational)"
-        baseline.reads_per_s current.reads_per_s
-        (delta_pct baseline.reads_per_s current.reads_per_s);
-      Printf.sprintf "cache hit ratio:  baseline %.4f, current %.4f (informational)"
-        baseline.hit_ratio current.hit_ratio;
-      (if ok then "perfgate(serve): PASS"
-       else "perfgate(serve): FAIL (p99 staleness regressed beyond threshold)") ]
-  in
-  { ok; lines }
-
-(* The deep analysis runs in milliseconds, far below runner noise, so
-   the relative threshold alone would flap; the gate only bites once the
-   catalog-wide lint wall clears an absolute floor worth caring about. *)
-let lint_floor_s = 0.25
-
-let check_lint ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  let limit =
-    Float.max lint_floor_s (baseline.wall_s *. (1.0 +. (threshold_pct /. 100.0)))
-  in
-  let ok = current.wall_s <= limit in
-  let lines =
-    [ Printf.sprintf
-        "lint wall:        baseline %.4f s, current %.4f s (%+.1f%%, limit %.2f s: max of +%.0f%% and the %.2f s floor)"
-        baseline.wall_s current.wall_s
-        (delta_pct baseline.wall_s current.wall_s)
-        limit threshold_pct lint_floor_s;
-      Printf.sprintf "configurations:   baseline %d, current %d (informational)"
-        baseline.configurations current.configurations;
-      Printf.sprintf "diagnostics:      baseline %d, current %d (informational)"
-        baseline.diagnostics current.diagnostics;
-      (if ok then "perfgate(lint): PASS"
-       else
-         "perfgate(lint): FAIL (catalog-wide lint wall regressed beyond \
-          threshold and floor)") ]
-  in
-  { ok; lines }
-
-let check_federation ?threshold_pct ~baseline ~current () =
-  let threshold_pct = Option.value threshold_pct ~default:default_threshold_pct in
-  let delta_pct base cur = if base = 0.0 then 0.0 else (cur -. base) /. base *. 100.0 in
-  (* Correctness first: sharding that is fast but no longer byte-identical
-     to the unsharded reference is a broken optimization, threshold or
-     not. *)
-  let floor = baseline.speedup *. (1.0 -. (threshold_pct /. 100.0)) in
-  let fast_enough = current.speedup >= floor in
-  let ok = current.identical && fast_enough in
-  let lines =
-    [ Printf.sprintf
-        "identical runs:   baseline %b, current %b (hard requirement)"
-        baseline.identical current.identical;
-      Printf.sprintf
-        "speedup:          baseline %.2fx, current %.2fx (%+.1f%%, floor %.2fx at -%.0f%%)"
-        baseline.speedup current.speedup
-        (delta_pct baseline.speedup current.speedup)
-        floor threshold_pct;
-      Printf.sprintf
-        "sharded events/s: baseline %.0f, current %.0f (%+.1f%%, informational)"
-        baseline.sharded_events_per_s current.sharded_events_per_s
-        (delta_pct baseline.sharded_events_per_s current.sharded_events_per_s);
-      Printf.sprintf
-        "reference ev/s:   baseline %.0f, current %.0f (informational)"
-        baseline.reference_events_per_s current.reference_events_per_s;
-      (if ok then "perfgate(federation): PASS"
-       else if not current.identical then
-         "perfgate(federation): FAIL (sharded runs are not byte-identical \
-          to the unsharded reference)"
-       else
-         "perfgate(federation): FAIL (sharding speedup regressed beyond \
-          threshold)") ]
-  in
-  { ok; lines }
+  let failed = List.filter_map (fun (m, (ok, _)) -> if ok then None else Some m) gated in
+  { ok = failed = [];
+    lines =
+      List.map (fun (_, (_, line)) -> line) gated
+      @ extra
+      @ [ (if failed = [] then "perfgate: PASS"
+           else "perfgate: FAIL (" ^ String.concat ", " failed ^ ")") ] }

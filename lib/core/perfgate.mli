@@ -1,135 +1,41 @@
-(** Performance-regression gate over the engine benchmark.
+(** Performance-regression gate over the gated benchmarks.
 
-    The bench's [--scenario engine] run writes [BENCH_engine.json] with
-    the throughput and step-latency figures of the 2-month reference
-    campaign; a baseline copy of that file is checked into the repository.
-    This module compares a fresh run against the baseline and fails the
-    gate when the p95 step latency regresses by more than the threshold
-    (20% by default), so an accidental slow-down of the hot loop breaks
-    CI instead of silently eating the arena rewrite's gains.
+    Every gated bench scenario ([engine], [serve], [federation], [lint])
+    ends its [BENCH_*.json] with a [gates] array, one row per gated
+    figure: [{"metric", "value", "better": "lower"|"higher",
+    "tolerance_pct", "floor"?}].  The checked-in copy of each file is
+    the baseline.  This module knows no metric by name, so adding a gate
+    is a bench change. *)
 
-    Throughput and allocation figures are reported for context but do not
-    gate: events/s varies with runner load far more than the latency
-    percentile does.
+type better = Lower | Higher
 
-    The serve scenario ([--scenario serve], [BENCH_serve.json]) is gated
-    the same way on its p99 page staleness — which is
-    simulation-deterministic, so a regression there is a behaviour
-    change, not runner noise — with reads/s and the cache hit ratio
-    reported for context.
-
-    The federation scenario ([--scenario federation],
-    [BENCH_federation.json]) gates on two figures: the sharded-vs-
-    unsharded-reference speedup (baseline-relative, same allowance as
-    the other gates) and the cross-shard determinism bit
-    [identical_across_shards], which is a hard requirement — a fast
-    federation that no longer replays byte-identically across shard
-    counts and drivers fails regardless of threshold. *)
-
-type metrics = {
-  events_per_s : float;
-  minor_words_per_event : float;
-  p95_step_us : float;  (** the gating figure *)
+type row = {
+  metric : string;  (** unique within a document *)
+  value : float;  (** finite *)
+  better : better;
+  tolerance_pct : float;  (** finite, non-negative *)
+  floor : float option;  (** finite; a value that always passes *)
 }
 
-val metrics_of_json : Simkit.Json.t -> (metrics, string) result
-(** Extract the gate's metrics from a [BENCH_engine.json] document
-    ([events_per_s], [minor_words_per_event] and
-    [step_latency_us.p95]). *)
+val rows_to_json : row list -> Simkit.Json.t
+(** The [gates] array, as the benches write it. *)
 
-val metrics_of_string : string -> (metrics, string) result
-(** Parse then extract; [Error] carries the parse or shape complaint. *)
+val load : string -> (row list, string) result
+(** The [gates] rows of a bench document.  Never raises: non-JSON text,
+    a missing or empty [gates] array, a row without [metric] or [value],
+    a [better] other than [lower]/[higher], a non-finite number, a
+    negative or non-numeric [tolerance_pct] or a duplicate [metric] is
+    an [Error] naming the field. *)
 
-type serve_metrics = {
-  reads_per_s : float;
-  hit_ratio : float;
-  p99_staleness_s : float;  (** the gating figure *)
-}
+val limit : row -> float
+(** The worst current value a baseline row accepts: lower is better,
+    [max floor (value * (1 + tolerance_pct/100))]; higher is better,
+    [min floor (value * (1 - tolerance_pct/100))].  Without a floor a
+    zero lower-is-better baseline tolerates only zero. *)
 
-val serve_metrics_of_json : Simkit.Json.t -> (serve_metrics, string) result
-(** Extract the serve gate's metrics from a [BENCH_serve.json] document
-    ([reads_per_s], [hit_ratio] and [staleness_s.p99]). *)
+type verdict = { ok : bool; lines : string list (** one per row, then PASS/FAIL *) }
 
-val serve_metrics_of_string : string -> (serve_metrics, string) result
-
-type federation_metrics = {
-  speedup : float;
-      (** sharded aggregate events/s over the unsharded reference's —
-          gating, baseline-relative *)
-  identical : bool;
-      (** all shard counts and drivers produced byte-identical reports —
-          gating, hard requirement *)
-  sharded_events_per_s : float;
-  reference_events_per_s : float;
-}
-
-val federation_metrics_of_json : Simkit.Json.t -> (federation_metrics, string) result
-(** Extract the federation gate's metrics from a [BENCH_federation.json]
-    document ([speedup], [identical_across_shards],
-    [sharded_events_per_s], [reference_events_per_s]). *)
-
-val federation_metrics_of_string : string -> (federation_metrics, string) result
-
-type lint_metrics = {
-  wall_s : float;
-      (** catalog + presets static-analysis wall time — gating, with an
-          absolute floor (see {!check_lint}) *)
-  configurations : int;
-  diagnostics : int;
-}
-
-val lint_metrics_of_json : Simkit.Json.t -> (lint_metrics, string) result
-(** Extract the lint gate's metrics from a [BENCH_lint.json] document
-    (the [lint] object's [wall_s], [configurations], [diagnostics]). *)
-
-val lint_metrics_of_string : string -> (lint_metrics, string) result
-
-type verdict = {
-  ok : bool;  (** [false] = regression beyond the threshold *)
-  lines : string list;  (** human-readable comparison, one line each *)
-}
-
-val default_threshold_pct : float
-(** [20.] — the CI gate's allowance. *)
-
-val check : ?threshold_pct:float -> baseline:metrics -> current:metrics -> unit -> verdict
-(** Compare a fresh run against the baseline.  The gate fails iff
-    [current.p95_step_us > baseline.p95_step_us * (1 + threshold_pct/100)];
-    [threshold_pct] defaults to {!default_threshold_pct}. *)
-
-val check_serve :
-  ?threshold_pct:float ->
-  baseline:serve_metrics ->
-  current:serve_metrics ->
-  unit ->
-  verdict
-(** Serve-scenario comparison: fails iff the p99 staleness regresses
-    beyond the threshold (a zero baseline tolerates only zero); reads/s
-    and hit ratio are informational. *)
-
-val check_federation :
-  ?threshold_pct:float ->
-  baseline:federation_metrics ->
-  current:federation_metrics ->
-  unit ->
-  verdict
-(** Federation-scenario comparison: fails iff the current run is not
-    byte-identical across shard counts/drivers, or its speedup fell
-    below [baseline.speedup * (1 - threshold_pct/100)].  Raw throughput
-    figures are informational. *)
-
-val lint_floor_s : float
-(** [0.25] — the lint gate's absolute wall-time floor.  The deep
-    analysis finishes in milliseconds, far below runner noise, so a
-    purely relative threshold would flap. *)
-
-val check_lint :
-  ?threshold_pct:float ->
-  baseline:lint_metrics ->
-  current:lint_metrics ->
-  unit ->
-  verdict
-(** Lint-scenario comparison: fails iff the catalog-wide analysis wall
-    time exceeds [max lint_floor_s (baseline.wall_s * (1 +
-    threshold_pct/100))].  Configuration and diagnostic counts are
-    informational. *)
+val check : baseline:row list -> current:row list -> verdict
+(** Match rows by [metric], with the limit from the baseline row.  Fails
+    iff a baseline row is missing from [current] or beyond its {!limit};
+    a row only in [current] is reported but does not gate. *)

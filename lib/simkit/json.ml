@@ -160,7 +160,11 @@ let of_string_exn_internal s =
            if !pos + 4 > len then fail "short unicode escape";
            let hex = String.sub s !pos 4 in
            pos := !pos + 4;
-           let code = int_of_string ("0x" ^ hex) in
+           let code =
+             match int_of_string_opt ("0x" ^ hex) with
+             | Some code when code >= 0 && code <= 0xFFFF -> code
+             | _ -> fail "bad unicode escape"
+           in
            (* BMP code points encoded as UTF-8. *)
            if code < 0x80 then Buffer.add_char buf (Char.chr code)
            else if code < 0x800 then begin
